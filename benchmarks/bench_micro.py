@@ -2,7 +2,8 @@
 
 Not paper experiments — engineering numbers for the substrate itself:
 log append (the USN rule), slotted-page record ops, record
-serialization, and a full engine update round trip.
+serialization, the header-first log walk, and a full engine update
+round trip.
 """
 
 # reprolint: disable-file=R001 -- microbenchmarks measure raw page primitives
@@ -88,6 +89,48 @@ def test_append_many_speedup_over_single_appends():
     assert speedup >= 2.0, (
         f"append_many only {speedup:.2f}x faster than single appends "
         f"(need >= 2x at batch {BATCH})"
+    )
+
+
+#: Records in the header-walk gate's log (~3.5 MB at 176 bytes each).
+WALK_RECORDS = 20_000
+
+
+def test_header_walk_speedup_over_full_scan():
+    """Acceptance gate: the header walk every recovery pass screens on
+    (``LogManager.tail().headers()``) is >= 4x cheaper than the
+    full-record ``LogManager.scan()`` over a 20k-record log.
+
+    Rounds are interleaved so CPU-frequency drift on a shared runner
+    hits both sides equally; both sides copy the same tail.
+    """
+    log = LogManager(1)
+    log.append_many([
+        make_update(1, 1, 100 + i % 200, 0, redo=b"x" * 64, undo=b"y" * 64)
+        for i in range(WALK_RECORDS)
+    ])
+
+    def walk():
+        return sum(1 for _ in log.tail().headers())
+
+    def scan():
+        return sum(1 for _ in log.scan())
+
+    assert walk() == scan() == WALK_RECORDS  # warm both paths
+    walk_s = scan_s = float("inf")
+    for _ in range(5):
+        start = wall_seconds()
+        walk()
+        walk_s = min(walk_s, wall_seconds() - start)
+        start = wall_seconds()
+        scan()
+        scan_s = min(scan_s, wall_seconds() - start)
+    speedup = scan_s / walk_s
+    print(f"header walk speedup over scan() at {WALK_RECORDS} records: "
+          f"{speedup:.2f}x ({scan_s * 1e3:.1f}ms vs {walk_s * 1e3:.1f}ms)")
+    assert speedup >= 4.0, (
+        f"header walk only {speedup:.2f}x cheaper than scan() "
+        f"(need >= 4x at {WALK_RECORDS} records)"
     )
 
 

@@ -48,7 +48,12 @@ from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER
 from repro.recovery.apply import apply_redo
 from repro.storage.page import Page
-from repro.wal.records import LogRecord
+from repro.wal.records import NO_PAGE, LogRecord
+
+#: One page's redo candidates in log order: ``(lsn, serialized
+#: record)``.  The LSN screens (``lsn > page_lsn``) without decoding;
+#: only a record that passes is decoded and applied.
+RedoChain = List[Tuple[int, bytes]]
 
 
 def partition_of(page_id: int, n_partitions: int) -> int:
@@ -61,7 +66,7 @@ class _Partition:
     """One worker's share: disjoint pages, records in log order."""
 
     index: int
-    pages: List[Tuple[int, Page, List[LogRecord]]] = field(
+    pages: List[Tuple[int, Page, RedoChain]] = field(
         default_factory=list)
 
 
@@ -83,18 +88,18 @@ def _replay(partition: _Partition, sabotage: bool) -> _Outcome:
     out = _Outcome()
     for page_id, page, records in partition.pages:
         touched = False
-        for record in records:
-            if sabotage or record.lsn > page.page_lsn:
+        for lsn, raw in records:
+            if sabotage or lsn > page.page_lsn:
                 page_lsn_prev = page.page_lsn
-                apply_redo(page, record)
+                apply_redo(page, LogRecord.from_bytes(raw)[0])
                 touched = True
                 out.redone += 1
                 out.events.append(
-                    (True, page_id, int(record.lsn), int(page_lsn_prev)))
+                    (True, page_id, int(lsn), int(page_lsn_prev)))
             else:
                 out.skipped += 1
                 out.events.append(
-                    (False, page_id, int(record.lsn), int(page.page_lsn)))
+                    (False, page_id, int(lsn), int(page.page_lsn)))
         if touched:
             out.modified.append(page_id)
     return out
@@ -102,7 +107,7 @@ def _replay(partition: _Partition, sabotage: bool) -> _Outcome:
 
 def replay_partitioned(
     instance: "DbmsInstance",
-    per_page: Dict[int, List[LogRecord]],
+    per_page: Dict[int, RedoChain],
     parallelism: int,
     summary: "RestartSummary",
     sabotage: bool = False,
@@ -111,9 +116,10 @@ def replay_partitioned(
     threads, then write back, trace and account — see the module
     docstring for the split of work between parent and workers.
 
-    ``per_page`` maps page_id -> that page's redo-candidate records in
-    log order (the caller has already applied the scan-level screening
-    — RecAddr bounds for local redo, the target set for merged redo).
+    ``per_page`` maps page_id -> that page's :data:`RedoChain`, its
+    redo candidates in log order (the caller has already applied the
+    scan-level screening — RecAddr bounds for local redo, the target
+    set for merged redo).
     ``summary`` is the caller's RestartSummary; ``records_redone`` and
     ``redo_skipped_by_lsn`` are folded in.
     """
@@ -200,30 +206,34 @@ def replay_partitioned(
 
 def collect_local_redo(
     log: "LogManager", dpt: Dict[int, Tuple[int, int]], redo_start: int
-) -> Dict[int, List[LogRecord]]:
+) -> Dict[int, RedoChain]:
     """Per-page redo candidates for single-log restart: exactly the
     records the serial pass would consider (page in the DPT, record at
-    or after the page's RecAddr)."""
-    per_page: Dict[int, List[LogRecord]] = {}
-    for addr, record in log.scan(from_offset=redo_start):
-        if not record.is_page_oriented():
+    or after the page's RecAddr), screened on their headers and kept
+    as serialized bytes until a replay decides to apply them."""
+    per_page: Dict[int, RedoChain] = {}
+    tail = log.tail(from_offset=redo_start)
+    for offset, next_offset, header in tail.headers():
+        page_id = header[4]
+        entry = dpt.get(page_id)
+        if entry is None or offset < entry[1]:
             continue
-        entry = dpt.get(record.page_id)
-        if entry is None or addr.offset < entry[1]:
-            continue
-        per_page.setdefault(record.page_id, []).append(record)
+        per_page.setdefault(page_id, []).append(
+            (header[0], tail.raw(offset, next_offset)))
     return per_page
 
 
 def collect_merged_redo(
     all_logs: Sequence["LogManager"], targets: Collection[int],
-) -> Dict[int, List[LogRecord]]:
+) -> Dict[int, RedoChain]:
     """Per-page redo candidates for merged-log (fast scheme) restart:
-    the deterministic k-way merge filtered to the target pages."""
-    from repro.wal.merge import merge_local_logs
+    the deterministic k-way header merge filtered to the target pages."""
+    from repro.wal.merge import merge_headers
 
-    per_page: Dict[int, List[LogRecord]] = {}
-    for _, record in merge_local_logs(all_logs):
-        if record.is_page_oriented() and record.page_id in targets:
-            per_page.setdefault(record.page_id, []).append(record)
+    per_page: Dict[int, RedoChain] = {}
+    for tail, offset, next_offset, header in merge_headers(all_logs):
+        page_id = header[4]
+        if page_id != NO_PAGE and page_id in targets:
+            per_page.setdefault(page_id, []).append(
+                (header[0], tail.raw(offset, next_offset)))
     return per_page

@@ -40,6 +40,7 @@ from repro.storage.space_map import SpaceMap
 from repro.txn.manager import _SYSTEM_STRIDE
 from repro.wal.log_manager import LogManager
 from repro.wal.records import (
+    NO_PAGE,
     CheckpointData,
     LogRecord,
     RecordKind,
@@ -55,6 +56,11 @@ SERVER_ID = 0
 
 _COMMITTED = 1
 _ACTIVE = 0
+
+# Record kinds as the header walk yields them (the raw code byte).
+_COMMIT = int(RecordKind.COMMIT)
+_END = int(RecordKind.END)
+_END_CHECKPOINT = int(RecordKind.END_CHECKPOINT)
 
 
 @dataclass
@@ -474,27 +480,32 @@ class CsServer:
         scan_start = min(
             [addr for _, addr in dpt.values()] + [start]
         ) if dpt else start
-        index: Dict[Lsn, LogRecord] = {}
-        for addr, record in self.log.scan(from_offset=scan_start):
-            mine = (record.system_id == client_id or
-                    (record.txn_id and
-                     record.txn_id // _SYSTEM_STRIDE == client_id))
+        # LSN -> server-log offset of the client's transaction records;
+        # undo decodes only the loser records it follows.
+        index: Dict[Lsn, int] = {}
+        scanned = 0
+        for offset, _, header in self.log.tail(
+                from_offset=scan_start).headers():
+            lsn, _, txn_id, _, page_id, system_id, _, _, _, _, kind = header
+            mine = (system_id == client_id or
+                    (txn_id and txn_id // _SYSTEM_STRIDE == client_id))
             if not mine:
                 continue
-            summary.records_scanned += 1
-            if record.kind == RecordKind.END_CHECKPOINT:
+            scanned += 1
+            if kind == _END_CHECKPOINT:
                 continue
-            if record.txn_id:
-                if record.kind == RecordKind.END:
-                    txn_table.pop(record.txn_id, None)
-                elif record.kind == RecordKind.COMMIT:
-                    txn_table[record.txn_id] = (record.lsn, _COMMITTED)
+            if txn_id:
+                if kind == _END:
+                    txn_table.pop(txn_id, None)
+                elif kind == _COMMIT:
+                    txn_table[txn_id] = (lsn, _COMMITTED)
                 else:
-                    state = txn_table.get(record.txn_id, (0, _ACTIVE))[1]
-                    txn_table[record.txn_id] = (record.lsn, state)
-                index[record.lsn] = record
-            if record.is_page_oriented():
-                dpt.setdefault(record.page_id, (record.lsn, addr.offset))
+                    state = txn_table.get(txn_id, (0, _ACTIVE))[1]
+                    txn_table[txn_id] = (lsn, state)
+                index[lsn] = offset
+            if page_id != NO_PAGE and page_id not in dpt:
+                dpt[page_id] = (lsn, offset)
+        summary.records_scanned += scanned
         losers = {
             txn_id: last_lsn
             for txn_id, (last_lsn, state) in txn_table.items()
@@ -504,9 +515,9 @@ class CsServer:
         # (records logged before the client's checkpoint): index every
         # loser record over the whole log so undo can follow them.
         if losers:
-            for _, record in self.log.scan():
-                if record.txn_id in losers:
-                    index[record.lsn] = record
+            for offset, _, header in self.log.tail().headers():
+                if header[2] in losers:
+                    index[header[0]] = offset
         return dpt, losers, index
 
     def _client_redo(self, dpt: Dict[int, Tuple[Lsn, int]],
@@ -514,25 +525,26 @@ class CsServer:
         if not dpt:
             return
         redo_start = min(rec_addr for _, rec_addr in dpt.values())
-        for addr, record in self.log.scan(from_offset=redo_start):
-            if not record.is_page_oriented():
+        tail = self.log.tail(from_offset=redo_start)
+        for offset, _, header in tail.headers():
+            page_id = header[4]
+            entry = dpt.get(page_id)
+            if entry is None or offset < entry[1]:
                 continue
-            entry = dpt.get(record.page_id)
-            if entry is None or addr.offset < entry[1]:
-                continue
-            buffered = self.pool.contains(record.page_id)
-            page = self.pool.fix(record.page_id)
+            lsn = header[0]
+            buffered = self.pool.contains(page_id)
+            page = self.pool.fix(page_id)
             try:
-                if record.lsn > page.page_lsn:
+                if lsn > page.page_lsn:
                     page_lsn_prev = page.page_lsn
-                    apply_redo(page, record)
-                    self.pool.note_update(record.page_id, record.lsn,
-                                          addr.offset, self.log.end_offset)
+                    apply_redo(page, tail.record(offset, header))
+                    self.pool.note_update(page_id, lsn, offset,
+                                          self.log.end_offset)
                     summary.records_redone += 1
                     if self.tracer.enabled:
                         self.tracer.emit(
                             ev.RECOVERY_REDO, system=SERVER_ID,
-                            page=record.page_id, lsn=int(record.lsn),
+                            page=page_id, lsn=int(lsn),
                             page_lsn_prev=int(page_lsn_prev),
                         )
                 elif buffered:
@@ -542,25 +554,26 @@ class CsServer:
                     if self.tracer.enabled:
                         self.tracer.emit(
                             ev.RECOVERY_SKIP, system=SERVER_ID,
-                            page=record.page_id, lsn=int(record.lsn),
+                            page=page_id, lsn=int(lsn),
                             page_lsn=int(page.page_lsn),
                         )
             finally:
-                self.pool.unfix(record.page_id)
+                self.pool.unfix(page_id)
 
     def _client_undo(self, losers: Dict[int, Lsn],
-                     index: Dict[Lsn, LogRecord],
+                     index: Dict[Lsn, int],
                      summary: ClientRecoverySummary) -> None:
         next_undo = dict(losers)
         last_lsn = dict(losers)
         while next_undo:
             txn_id = max(next_undo, key=lambda t: next_undo[t])
             lsn = next_undo[txn_id]
-            record = index.get(lsn)
-            if record is None or lsn == NULL_LSN:
+            offset = index.get(lsn)
+            if offset is None or lsn == NULL_LSN:
                 self._end_txn(txn_id, last_lsn[txn_id])
                 del next_undo[txn_id]
                 continue
+            record = self.log.read_record_at(offset)
             if record.kind == RecordKind.CLR:
                 follow = record.undo_next_lsn
             elif record.is_undoable():
@@ -592,7 +605,7 @@ class CsServer:
                     apply_payload(page, record.slot, record.undo, clr.lsn)
                     self.pool.note_update(record.page_id, clr.lsn,
                                           addr.offset, self.log.end_offset)
-                    index[clr.lsn] = clr
+                    index[clr.lsn] = addr.offset
                     last_lsn[txn_id] = clr.lsn
                     summary.clrs_written += 1
                     if self.tracer.enabled:

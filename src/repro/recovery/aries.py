@@ -15,7 +15,7 @@ abandoning the address interpretation of LSNs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 from repro.common.config import NULL_LSN
 from repro.common.lsn import Lsn
@@ -24,6 +24,7 @@ from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.recovery.apply import apply_payload, apply_redo
 from repro.txn.transaction import Transaction
 from repro.wal.records import (
+    NO_PAGE,
     CheckpointData,
     LogRecord,
     RecordKind,
@@ -32,6 +33,11 @@ from repro.wal.records import (
 
 _COMMITTED = 1
 _ACTIVE = 0
+
+# Record kinds as the header walk yields them (the raw code byte).
+_COMMIT = int(RecordKind.COMMIT)
+_END = int(RecordKind.END)
+_END_CHECKPOINT = int(RecordKind.END_CHECKPOINT)
 
 # Deliberate-breakage seam for the chaos campaign's self-test: with
 # redo screening disabled, redo re-applies records already reflected in
@@ -134,26 +140,29 @@ def analysis_pass(
     """
     dpt: Dict[int, Tuple[Lsn, int]] = {}
     txn_table: Dict[int, Tuple[Lsn, int]] = {}  # txn -> (last_lsn, state)
-    start = log.master_record_offset or 0
-    for addr, record in log.scan(from_offset=start):
-        summary.records_analyzed += 1
-        if record.kind == RecordKind.END_CHECKPOINT:
-            data = CheckpointData.from_bytes(record.extra)
+    tail = log.tail(from_offset=log.master_record_offset or 0)
+    analyzed = 0
+    for offset, _, header in tail.headers():
+        lsn, _, txn_id, _, page_id, _, _, _, _, _, kind = header
+        analyzed += 1
+        if kind == _END_CHECKPOINT:
+            data = CheckpointData.from_bytes(tail.record(offset, header).extra)
             for page_id, entry in data.dirty_pages.items():
                 dpt.setdefault(page_id, entry)
             for txn_id, entry in data.transactions.items():
                 txn_table.setdefault(txn_id, entry)
             continue
-        if record.txn_id:
-            if record.kind == RecordKind.END:
-                txn_table.pop(record.txn_id, None)
-            elif record.kind == RecordKind.COMMIT:
-                txn_table[record.txn_id] = (record.lsn, _COMMITTED)
+        if txn_id:
+            if kind == _END:
+                txn_table.pop(txn_id, None)
+            elif kind == _COMMIT:
+                txn_table[txn_id] = (lsn, _COMMITTED)
             else:
-                prior_state = txn_table.get(record.txn_id, (0, _ACTIVE))[1]
-                txn_table[record.txn_id] = (record.lsn, prior_state)
-        if record.is_page_oriented():
-            dpt.setdefault(record.page_id, (record.lsn, addr.offset))
+                prior_state = txn_table.get(txn_id, (0, _ACTIVE))[1]
+                txn_table[txn_id] = (lsn, prior_state)
+        if page_id != NO_PAGE and page_id not in dpt:
+            dpt[page_id] = (lsn, offset)
+    summary.records_analyzed += analyzed
     losers = {
         txn_id: last_lsn
         for txn_id, (last_lsn, state) in txn_table.items()
@@ -182,26 +191,25 @@ def _redo_pass(instance, dpt: Dict[int, Tuple[Lsn, int]],
             sabotage=_SABOTAGE_DISABLE_REDO_SCREENING,
         )
         return
-    for addr, record in log.scan(from_offset=redo_start):
-        if not record.is_page_oriented():
-            continue
-        entry = dpt.get(record.page_id)
-        if entry is None or addr.offset < entry[1]:
-            continue  # page written to disk after this update
-        page = pool.fix(record.page_id)
-        tracer = _tracer_of(instance)
+    tracer = _tracer_of(instance)
+    tail = log.tail(from_offset=redo_start)
+    for offset, next_offset, header in tail.headers():
+        page_id = header[4]
+        entry = dpt.get(page_id)
+        if entry is None or offset < entry[1]:
+            continue  # not dirty at the crash, or written to disk since
+        lsn = header[0]
+        page = pool.fix(page_id)
         try:
-            if _SABOTAGE_DISABLE_REDO_SCREENING or record.lsn > page.page_lsn:
+            if _SABOTAGE_DISABLE_REDO_SCREENING or lsn > page.page_lsn:
                 page_lsn_prev = page.page_lsn
-                apply_redo(page, record)
-                record_end = addr.offset + record.serialized_size()
-                pool.note_update(record.page_id, record.lsn,
-                                 addr.offset, record_end)
+                apply_redo(page, tail.record(offset, header))
+                pool.note_update(page_id, lsn, offset, next_offset)
                 summary.records_redone += 1
                 if tracer.enabled:
                     tracer.emit(
                         ev.RECOVERY_REDO, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
+                        page=page_id, lsn=int(lsn),
                         page_lsn_prev=int(page_lsn_prev),
                     )
             else:
@@ -209,11 +217,11 @@ def _redo_pass(instance, dpt: Dict[int, Tuple[Lsn, int]],
                 if tracer.enabled:
                     tracer.emit(
                         ev.RECOVERY_SKIP, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
+                        page=page_id, lsn=int(lsn),
                         page_lsn=int(page.page_lsn),
                     )
         finally:
-            pool.unfix(record.page_id)
+            pool.unfix(page_id)
 
 
 # ----------------------------------------------------------------------
@@ -287,31 +295,33 @@ def fast_restart_recovery(
 
 def _merged_redo(instance, all_logs, targets, summary: RestartSummary) -> None:
     """Serial merged-log redo (fast scheme, ``redo_parallelism == 1``)."""
-    from repro.wal.merge import merge_local_logs
+    from repro.wal.merge import merge_headers
 
     log = instance.log
     pool = instance.pool
     tracer = _tracer_of(instance)
-    for _, record in merge_local_logs(all_logs):
-        if not record.is_page_oriented() or record.page_id not in targets:
+    for tail, offset, _, header in merge_headers(all_logs):
+        page_id = header[4]
+        if page_id == NO_PAGE or page_id not in targets:
             continue
-        page = pool.fix(record.page_id)
+        lsn = header[0]
+        page = pool.fix(page_id)
         try:
-            if record.lsn > page.page_lsn:
+            if lsn > page.page_lsn:
                 page_lsn_prev = page.page_lsn
-                apply_redo(page, record)
+                apply_redo(page, tail.record(offset, header))
                 # The covering records are in their writers' stable
                 # logs; nothing to force locally before page writes.
-                bcb = pool.bcb(record.page_id)
+                bcb = pool.bcb(page_id)
                 if not bcb.dirty:
                     bcb.dirty = True
-                    bcb.rec_lsn = record.lsn
+                    bcb.rec_lsn = lsn
                     bcb.rec_addr = log.end_offset
                 summary.records_redone += 1
                 if tracer.enabled:
                     tracer.emit(
                         ev.RECOVERY_REDO, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
+                        page=page_id, lsn=int(lsn),
                         page_lsn_prev=int(page_lsn_prev),
                     )
             else:
@@ -319,11 +329,11 @@ def _merged_redo(instance, all_logs, targets, summary: RestartSummary) -> None:
                 if tracer.enabled:
                     tracer.emit(
                         ev.RECOVERY_SKIP, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
+                        page=page_id, lsn=int(lsn),
                         page_lsn=int(page.page_lsn),
                     )
         finally:
-            pool.unfix(record.page_id)
+            pool.unfix(page_id)
 
 
 # ----------------------------------------------------------------------
@@ -335,26 +345,18 @@ def _undo_pass(instance, losers: Dict[int, Lsn],
     if not losers:
         return
     log = instance.log
-    pool = instance.pool
-    # Index every record of a loser transaction by LSN (LSNs are unique
-    # within one local log because the USN rule is strictly increasing).
-    # The archive-truncation rule keeps every active transaction's
-    # records on the active log, so the scan starts there.
-    index: Dict[Lsn, Tuple[int, LogRecord]] = {}
-    for addr, record in log.scan(from_offset=log.archived_offset):
-        if record.txn_id in losers:
-            index[record.lsn] = (addr.offset, record)
+    index = _loser_index(log, losers)
     next_undo: Dict[int, Lsn] = dict(losers)
     last_lsn: Dict[int, Lsn] = dict(losers)
     while next_undo:
         txn_id = max(next_undo, key=lambda t: next_undo[t])
         lsn = next_undo[txn_id]
-        entry = index.get(lsn)
-        if entry is None or lsn == NULL_LSN:
+        offset = index.get(lsn)
+        if offset is None or lsn == NULL_LSN:
             _finish_loser(instance, txn_id, last_lsn[txn_id])
             del next_undo[txn_id]
             continue
-        _, record = entry
+        record = log.read_record_at(offset)
         if record.kind == RecordKind.CLR:
             follow = record.undo_next_lsn
         elif record.is_undoable():
@@ -371,6 +373,23 @@ def _undo_pass(instance, losers: Dict[int, Lsn],
             del next_undo[txn_id]
         else:
             next_undo[txn_id] = follow
+
+
+def _loser_index(log, losers: Collection[int]) -> Dict[Lsn, int]:
+    """LSN -> log offset of every record the ``losers`` wrote.
+
+    A header walk: no record is decoded here; undo decodes (with
+    ``log.read_record_at``) only the records it follows.  LSNs are
+    unique within one local log because the USN rule is strictly
+    increasing.  The archive-truncation rule keeps every active
+    transaction's records on the active log, so the walk starts there.
+    """
+    return {
+        header[0]: offset
+        for offset, _, header
+        in log.tail(from_offset=log.archived_offset).headers()
+        if header[2] in losers
+    }
 
 
 def _compensate(instance, txn_id: int, record: LogRecord,

@@ -53,7 +53,7 @@ force first.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.stats import (
     INSTANT_DEMAND_RECOVERIES,
@@ -72,6 +72,9 @@ from repro.recovery import aries
 from repro.recovery.apply import apply_redo
 from repro.recovery.aries import RestartSummary, analysis_pass
 from repro.wal.records import LogRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.redo import RedoChain
 
 
 class InstantRecoveryManager:
@@ -105,7 +108,7 @@ class InstantRecoveryManager:
         self.summary = RestartSummary()
         self.dpt: Dict[int, tuple] = {}
         self.losers: Dict[int, int] = {}
-        self._chains: Dict[int, List[LogRecord]] = {}
+        self._chains: Dict[int, "RedoChain"] = {}
         self._opened = False
         self._drained = False
         self.demand_recoveries = 0
@@ -129,7 +132,7 @@ class InstantRecoveryManager:
             redo_start = min(rec_addr for _, rec_addr in self.dpt.values())
             self.summary.redo_scan_start = redo_start
 
-    def index_chains(self, chains: Dict[int, List[LogRecord]]) -> None:
+    def index_chains(self, chains: Dict[int, "RedoChain"]) -> None:
         """Install the per-page redo chains (candidate-collector
         output); pages with a non-empty chain become *pending*."""
         self._chains = {
@@ -204,17 +207,15 @@ class InstantRecoveryManager:
             redone = skipped = 0
             sabotage = aries._SABOTAGE_DISABLE_REDO_SCREENING
             emitted: List[tuple] = []
-            for record in records:
-                if sabotage or record.lsn > page.page_lsn:
+            for lsn, raw in records:
+                if sabotage or lsn > page.page_lsn:
                     page_lsn_prev = page.page_lsn
-                    apply_redo(page, record)
+                    apply_redo(page, LogRecord.from_bytes(raw)[0])
                     redone += 1
-                    emitted.append(
-                        (True, int(record.lsn), int(page_lsn_prev)))
+                    emitted.append((True, int(lsn), int(page_lsn_prev)))
                 else:
                     skipped += 1
-                    emitted.append(
-                        (False, int(record.lsn), int(page.page_lsn)))
+                    emitted.append((False, int(lsn), int(page.page_lsn)))
             if redone:
                 disk.write_page(page)
             del self._chains[page_id]

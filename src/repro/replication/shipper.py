@@ -3,7 +3,7 @@
 One :class:`ReplicationManager` hangs off an
 :class:`~repro.sd.complex.SDComplex` (``replicate=`` seam).  It keeps a
 byte cursor into every instance's local log, collects newly *stable*
-records through :func:`~repro.wal.merge.merge_local_logs` (LSN-only
+records through :func:`~repro.wal.merge.merge_headers` (LSN-only
 comparisons — the Section 3.2.2 discipline), and ships them in bounded
 batches over the network fabric to every attached
 :class:`~repro.replication.standby.StandbyComplex`.
@@ -269,18 +269,19 @@ class ReplicationManager(NullReplication):
     # ------------------------------------------------------------------
     def _collect(self) -> None:
         """Pull newly stable records from the merged local logs."""
-        from repro.wal.merge import merge_local_logs
+        from repro.wal.merge import merge_headers
 
         logs = self.primary.local_logs()
-        if not logs:
-            return
-        for addr, record in merge_local_logs(
-                logs, stats=self.stats,
-                from_offsets=dict(self._shipped_offsets),
+        shipped = self._shipped_offsets
+        if all(log.flushed_offset <= shipped.get(log.system_id, 0)
+               for log in logs):
+            return  # nothing newly stable (every commit of a group asks)
+        for tail, offset, next_offset, _ in merge_headers(
+                logs, stats=self.stats, from_offsets=dict(shipped),
                 stable_only=True):
-            data = record.to_bytes()
-            self._pending.append((addr.system_id, data))
-            self._shipped_offsets[addr.system_id] = addr.offset + len(data)
+            self._pending.append(
+                (tail.system_id, tail.raw(offset, next_offset)))
+            shipped[tail.system_id] = next_offset
 
     def _flush(self, limit: int) -> None:
         """Ship pending records until at most ``limit`` remain."""

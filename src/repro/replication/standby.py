@@ -266,13 +266,13 @@ class StandbyComplex:
 
     def _final_catch_up(self, salvaged_logs: Iterable[LogManager]) -> None:
         """Apply the salvaged stable stream (duplicates screen out)."""
-        from repro.wal.merge import merge_local_logs
+        from repro.wal.merge import merge_headers
 
-        items: List[Tuple[int, bytes]] = []
-        for addr, record in merge_local_logs(list(salvaged_logs),
-                                             stats=self.stats,
-                                             stable_only=True):
-            items.append((addr.system_id, record.to_bytes()))
+        items: List[Tuple[int, bytes]] = [
+            (tail.system_id, tail.raw(offset, next_offset))
+            for tail, offset, next_offset, _ in merge_headers(
+                list(salvaged_logs), stats=self.stats, stable_only=True)
+        ]
         if items:
             self.receive(items)
 

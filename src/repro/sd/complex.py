@@ -436,7 +436,7 @@ class SDComplex:
         """
         from repro.common.errors import ProtocolError
         from repro.recovery.apply import apply_redo
-        from repro.wal.merge import merge_local_logs
+        from repro.wal.merge import merge_headers
 
         def fix_page(page_id: int):
             try:
@@ -446,10 +446,10 @@ class SDComplex:
                 if instance.pool.contains(page_id):
                     instance.pool.drop_page(page_id, allow_dirty=True)
                 page = self.disk.read_page(page_id)
-                for _, record in merge_local_logs(self.local_logs()):
-                    if record.page_id == page_id \
-                            and record.lsn > page.page_lsn:
-                        apply_redo(page, record)
+                for tail, offset, _, header in merge_headers(
+                        self.local_logs()):
+                    if header[4] == page_id and header[0] > page.page_lsn:
+                        apply_redo(page, tail.record(offset, header))
                 self.disk.write_page(page)
                 return instance.pool.install_page(page, dirty=False)
 

@@ -40,7 +40,50 @@ from repro.faults import points as fp
 from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.wal.records import LogRecord, stamp_and_encode_batch
+from repro.wal.records import (
+    Header,
+    LogRecord,
+    decode_record,
+    stamp_and_encode_batch,
+    walk_headers,
+)
+
+
+def _max_lsn(headers: Iterable[Tuple[int, int, Header]]) -> Lsn:
+    """The largest LSN among walked headers (NULL_LSN when none)."""
+    return max((header[0] for _, _, header in headers), default=NULL_LSN)
+
+
+class LogTail:
+    """A private copy of one log from ``base`` to the end of a scan.
+
+    What every recovery pass walks: :meth:`headers` screens records on
+    their 48-byte header alone, :meth:`record` decodes one record a pass
+    actually uses, :meth:`raw` hands out a record's bytes verbatim.  The
+    copy is private, so the log may grow (CLRs, END records) while a
+    pass walks it; a pass drops its tail when it is done.
+    """
+
+    __slots__ = ("system_id", "base", "data")
+
+    def __init__(self, system_id: int, base: int, data: bytes) -> None:
+        self.system_id = system_id
+        self.base = base
+        self.data = data
+
+    def headers(self) -> Iterator[Tuple[int, int, Header]]:
+        """``(offset, next_offset, header)`` per record, in log order;
+        offsets are log offsets."""
+        return walk_headers(self.data, self.base)
+
+    def record(self, offset: int, header: Header) -> LogRecord:
+        """Decode the record at log offset ``offset`` whose header the
+        walk yielded."""
+        return decode_record(header, self.data, offset - self.base)
+
+    def raw(self, offset: int, next_offset: int) -> bytes:
+        """The serialized record spanning ``[offset, next_offset)``."""
+        return self.data[offset - self.base:next_offset - self.base]
 
 
 class LogManager:
@@ -173,9 +216,8 @@ class LogManager:
         own control records sort above everything it has stored.
         """
         addr = LogAddress(self.system_id, len(self._buffer))
-        for _, record in LogRecord.parse_stream(data):
-            if record.lsn > self.local_max_lsn:
-                self.local_max_lsn = record.lsn
+        self.local_max_lsn = max(self.local_max_lsn,
+                                 _max_lsn(walk_headers(data)))
         self._append_bytes(data, count_records=False)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -327,18 +369,36 @@ class LogManager:
         wrote; scanning the stable log for the maximum reinitialises the
         Lamport clock.  (Remote maxima re-arrive via normal traffic.)
         LSNs increase along the log, so the active portion suffices; the
-        archive is consulted only if the active log is empty.
+        archive is consulted only if the active log is empty.  Only the
+        headers are read.
         """
-        maximum = NULL_LSN
-        for _, record in self.scan(from_offset=self.archived_offset):
-            if record.lsn > maximum:
-                maximum = record.lsn
+        maximum = _max_lsn(
+            self.tail(from_offset=self.archived_offset).headers())
         if maximum == NULL_LSN and self.archived_offset:
-            for _, record in self.scan():
-                if record.lsn > maximum:
-                    maximum = record.lsn
+            maximum = _max_lsn(self.tail().headers())
         self.local_max_lsn = maximum
         return maximum
+
+    def tail(
+        self,
+        from_offset: int = 0,
+        include_unflushed: bool = True,
+    ) -> LogTail:
+        """Copy the log from ``from_offset`` to its end, once.
+
+        The copy costs O(tail), not O(history).  With
+        ``include_unflushed=False`` it stops at the stable boundary
+        (after :meth:`crash` a no-op distinction, but the log shipper
+        and live invariant checks use it).
+        """
+        end = len(self._buffer) if include_unflushed else self._flushed_len
+        if from_offset < self.archived_offset:
+            # The scan reaches into archived territory (media recovery
+            # fetching the tapes); account for it.
+            self.stats.incr(LOG_ARCHIVE_SCANS)
+        with memoryview(self._buffer) as view:
+            data = view[from_offset:end].tobytes()
+        return LogTail(self.system_id, from_offset, data)
 
     def scan(
         self,
@@ -347,29 +407,23 @@ class LogManager:
     ) -> Iterator[Tuple[LogAddress, LogRecord]]:
         """Yield ``(address, record)`` in log order from ``from_offset``.
 
-        Restart recovery scans the stable prefix only
-        (``include_unflushed=False`` after :meth:`crash` is a no-op
-        distinction, but live invariant checks use it).
+        The full-record view, for consumers that use every record's
+        payload (inspection, verification, tests); the arguments are
+        :meth:`tail`'s.  Recovery passes walk :meth:`tail` headers
+        instead and decode only the records they use.
         """
-        end = len(self._buffer) if include_unflushed else self._flushed_len
-        if from_offset < self.archived_offset:
-            # The scan reaches into archived territory (media recovery
-            # fetching the tapes); account for it.
-            self.stats.incr(LOG_ARCHIVE_SCANS)
-        data = bytes(self._buffer[:end])
-        offset = from_offset
-        while offset < end:
-            record, offset_next = LogRecord.from_bytes(data, offset)
-            yield LogAddress(self.system_id, offset), record
-            offset = offset_next
+        tail = self.tail(from_offset, include_unflushed)
+        system_id = self.system_id
+        for offset, _, header in tail.headers():
+            yield LogAddress(system_id, offset), tail.record(offset, header)
 
     def read_record_at(self, offset: int) -> LogRecord:
         """Parse the single record starting at byte ``offset``.
 
         Zero-copy: the record is parsed straight out of the live log
         buffer through a short-lived memoryview instead of snapshotting
-        the whole log for one record (recovery's redo pass calls this
-        in a loop).
+        the whole log for one record (rollback and the undo passes call
+        this in a loop).
         """
         with memoryview(self._buffer) as view:
             record, _ = LogRecord.from_bytes(view, offset)
@@ -377,7 +431,7 @@ class LogManager:
 
     def record_count(self) -> int:
         """Total records currently in the log (including unflushed)."""
-        return sum(1 for _ in self.scan())
+        return sum(1 for _ in self.tail().headers())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

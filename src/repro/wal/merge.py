@@ -27,8 +27,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.lsn import LogAddress
 from repro.common.stats import MERGE_COMPARISONS, StatsRegistry
-from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord
+from repro.wal.log_manager import LogManager, LogTail
+from repro.wal.records import Header, LogRecord
 
 
 class _LsnKey:
@@ -68,6 +68,9 @@ class _PageLsnKey:
 
 
 MergedEntry = Tuple[LogAddress, LogRecord]
+#: ``(tail, offset, next_offset, header)``: one record of the merged
+#: header stream; ``tail.record(offset, header)`` decodes it.
+MergedHeader = Tuple[LogTail, int, int, Header]
 
 
 def _log_streams(
@@ -86,30 +89,41 @@ def _log_streams(
     return streams
 
 
-def merge_local_logs(
+def _tail_headers(tail: LogTail) -> Iterator[MergedHeader]:
+    for offset, next_offset, header in tail.headers():
+        yield tail, offset, next_offset, header
+
+
+def merge_headers(
     logs: Iterable[LogManager],
     stats: Optional[StatsRegistry] = None,
     from_offsets: Optional[Dict[int, int]] = None,
     stable_only: bool = False,
-) -> Iterator[MergedEntry]:
-    """k-way merge of USN local logs by LSN alone.
+) -> Iterator[MergedHeader]:
+    """k-way merge of USN local logs by the header LSN alone.
 
-    Yields ``(address, record)`` in globally non-decreasing LSN order.
-    ``from_offsets`` optionally maps system_id -> starting byte offset
-    (e.g. the image-copy boundary) to shorten the scan.  With
-    ``stable_only`` each scan stops at its log's flushed boundary —
-    the log shipper's mode: only forced records may leave the primary,
-    otherwise a standby could hold records the primary loses in a
-    crash.
+    Yields ``(tail, offset, next_offset, header)`` in globally
+    non-decreasing LSN order without decoding any record; consumers
+    decode (``tail.record``) or copy (``tail.raw``) only the records
+    they use.  ``from_offsets`` optionally maps system_id -> starting
+    byte offset (e.g. the image-copy boundary) to shorten the scan.
+    With ``stable_only`` each scan stops at its log's flushed boundary
+    — the log shipper's mode: only forced records may leave the
+    primary, otherwise a standby could hold records the primary loses
+    in a crash.
     """
     stats = stats if stats is not None else StatsRegistry()
-    heap: List[Tuple[_LsnKey, int, MergedEntry, Iterator[MergedEntry]]] = []
-    streams = _log_streams(logs, from_offsets, stable_only=stable_only)
-    for tiebreak, stream in enumerate(streams):
+    heap: List[Tuple[_LsnKey, int, MergedHeader, Iterator[MergedHeader]]] = []
+    for tiebreak, log in enumerate(logs):
+        start = 0
+        if from_offsets is not None:
+            start = from_offsets.get(log.system_id, 0)
+        stream = _tail_headers(
+            log.tail(from_offset=start, include_unflushed=not stable_only))
         entry = next(stream, None)
         if entry is not None:
             heapq.heappush(
-                heap, (_LsnKey(entry[1].lsn, stats), tiebreak, entry, stream)
+                heap, (_LsnKey(entry[3][0], stats), tiebreak, entry, stream)
             )
     while heap:
         _, tiebreak, entry, stream = heapq.heappop(heap)
@@ -117,8 +131,26 @@ def merge_local_logs(
         nxt = next(stream, None)
         if nxt is not None:
             heapq.heappush(
-                heap, (_LsnKey(nxt[1].lsn, stats), tiebreak, nxt, stream)
+                heap, (_LsnKey(nxt[3][0], stats), tiebreak, nxt, stream)
             )
+
+
+def merge_local_logs(
+    logs: Iterable[LogManager],
+    stats: Optional[StatsRegistry] = None,
+    from_offsets: Optional[Dict[int, int]] = None,
+    stable_only: bool = False,
+) -> Iterator[MergedEntry]:
+    """k-way merge of USN local logs by LSN alone, as full records.
+
+    Yields ``(address, record)`` in globally non-decreasing LSN order:
+    :func:`merge_headers` with every record decoded.  The arguments
+    mean the same as there.
+    """
+    for tail, offset, _, header in merge_headers(
+            logs, stats=stats, from_offsets=from_offsets,
+            stable_only=stable_only):
+        yield LogAddress(tail.system_id, offset), tail.record(offset, header)
 
 
 def lomet_merge(

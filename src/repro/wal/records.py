@@ -156,44 +156,79 @@ class LogRecord:
         ``memoryview`` parses without materializing any intermediate
         ``bytes``; only the (possibly empty) payloads are copied out.
         """
-        (lsn, prev_lsn, txn_id, undo_next_lsn, page_id, system_id, slot,
-         redo_len, undo_len, extra_len, kind) = _HEADER.unpack_from(data, offset)
-        pos = offset + HEADER_SIZE
-        redo = bytes(data[pos:pos + redo_len]) if redo_len else b""
-        pos += redo_len
-        undo = bytes(data[pos:pos + undo_len]) if undo_len else b""
-        pos += undo_len
-        extra = bytes(data[pos:pos + extra_len]) if extra_len else b""
-        pos += extra_len
-        # Construct without __init__: recovery scans parse records by
-        # the thousand, and routing eleven field assignments through
-        # the Python-level invalidation hook above would tax exactly
-        # the paths this parser exists to keep fast.  A record built
-        # here has no cached encoding, so the bulk-update is safe.
-        record = cls.__new__(cls)
-        record.__dict__.update(
-            kind=RecordKind(kind), txn_id=txn_id, system_id=system_id,
-            page_id=page_id, slot=slot, lsn=lsn, prev_lsn=prev_lsn,
-            undo_next_lsn=undo_next_lsn, redo=redo, undo=undo, extra=extra,
-        )
-        return record, pos
+        header = _HEADER.unpack_from(data, offset)
+        return (decode_record(header, data, offset),
+                offset + HEADER_SIZE + header[7] + header[8] + header[9])
 
     @staticmethod
     def parse_stream(data: LogBuffer) -> Iterator[Tuple[int, "LogRecord"]]:
         """Yield ``(offset, record)`` for every record in ``data``.
 
         ``data`` may be ``bytes`` or a ``memoryview``; either way a
-        single view is threaded through every :meth:`from_bytes` call,
-        so per-record parsing never slices the underlying buffer into
-        intermediate ``bytes`` objects for the header path.
+        single view is threaded through the header walk and every
+        decode, so per-record parsing never slices the underlying
+        buffer into intermediate ``bytes`` objects for the header path.
         """
         view = data if isinstance(data, memoryview) else memoryview(data)
-        offset = 0
-        end = len(view)
-        while offset < end:
-            record, offset_next = LogRecord.from_bytes(view, offset)
-            yield offset, record
-            offset = offset_next
+        for offset, _, header in walk_headers(view):
+            yield offset, decode_record(header, view, offset)
+
+
+#: The eleven fields of a record header, in :data:`_HEADER` order:
+#: ``(lsn, prev_lsn, txn_id, undo_next_lsn, page_id, system_id, slot,
+#: redo_len, undo_len, extra_len, kind)``.  ``kind`` is the raw byte.
+Header = Tuple[int, int, int, int, int, int, int, int, int, int, int]
+
+#: ``RecordKind`` by its code byte: a dict lookup instead of the enum
+#: constructor, which costs a Python-level call per decoded record.
+_KIND_BY_CODE: Dict[int, RecordKind] = {int(kind): kind for kind in RecordKind}
+
+
+def walk_headers(
+    data: LogBuffer, base: int = 0
+) -> Iterator[Tuple[int, int, Header]]:
+    """Yield ``(offset, next_offset, header)`` for every record in ``data``.
+
+    The header-first view of a log: each step unpacks 48 bytes in place
+    and skips the payloads, building no :class:`LogRecord`.  ``base`` is
+    the log offset of ``data[0]``, so yielded offsets are log offsets
+    when ``data`` is a copy of a log's tail.  Recovery passes screen a
+    record on these fields and call :func:`decode_record` only for the
+    records whose payload they use.
+    """
+    unpack = _HEADER.unpack_from
+    offset = base
+    end = base + len(data)
+    while offset < end:
+        header = unpack(data, offset - base)
+        next_offset = offset + HEADER_SIZE + header[7] + header[8] + header[9]
+        yield offset, next_offset, header
+        offset = next_offset
+
+
+def decode_record(header: Header, data: LogBuffer, pos: int) -> LogRecord:
+    """Build the full record whose (already unpacked) ``header`` starts
+    at ``data[pos]``; the payloads are copied out of ``data``."""
+    (lsn, prev_lsn, txn_id, undo_next_lsn, page_id, system_id, slot,
+     redo_len, undo_len, extra_len, kind) = header
+    pos += HEADER_SIZE
+    redo = bytes(data[pos:pos + redo_len]) if redo_len else b""
+    pos += redo_len
+    undo = bytes(data[pos:pos + undo_len]) if undo_len else b""
+    pos += undo_len
+    extra = bytes(data[pos:pos + extra_len]) if extra_len else b""
+    # Construct without __init__: recovery decodes records by the
+    # thousand, and routing eleven field assignments through the
+    # Python-level invalidation hook would tax exactly the paths this
+    # decoder exists to keep fast.  A record built here has no cached
+    # encoding, so the bulk-update is safe.
+    record = LogRecord.__new__(LogRecord)
+    record.__dict__.update(
+        kind=_KIND_BY_CODE[kind], txn_id=txn_id, system_id=system_id,
+        page_id=page_id, slot=slot, lsn=lsn, prev_lsn=prev_lsn,
+        undo_next_lsn=undo_next_lsn, redo=redo, undo=undo, extra=extra,
+    )
+    return record
 
 
 def stamp_and_encode(record: LogRecord, lsn: Lsn, system_id: int) -> bytes:

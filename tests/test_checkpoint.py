@@ -82,3 +82,29 @@ class TestCheckpoint:
         assert s1.log.master_record_offset == master
         record = s1.log.read_record_at(master)
         assert record.kind == RecordKind.BEGIN_CHECKPOINT
+
+
+class TestAnalysisReadsCheckpoint:
+    def test_end_checkpoint_seeds_dpt_and_transaction_table(self):
+        """The header walk decodes the END_CHECKPOINT record: its dirty
+        pages and in-flight transactions reach analysis even when no
+        later record mentions them."""
+        from repro.recovery.aries import RestartSummary, analysis_pass
+        from repro.wal.log_manager import LogManager
+        from repro.wal.records import LogRecord, make_update
+
+        log = LogManager(1)
+        begin = log.append(LogRecord(kind=RecordKind.BEGIN_CHECKPOINT))
+        data = CheckpointData(dirty_pages={7: (3, 0), 8: (4, 10)},
+                              transactions={42: (5, 0), 43: (6, 0)})
+        log.append(LogRecord(kind=RecordKind.END_CHECKPOINT,
+                             extra=data.to_bytes()))
+        log.master_record_offset = begin.offset
+        update = make_update(44, 1, 9, 0, redo=b"r", undo=b"u")
+        addr = log.append(update)
+        log.append(LogRecord(kind=RecordKind.END, txn_id=43))
+        summary = RestartSummary()
+        dpt, losers = analysis_pass(log, summary)
+        assert dpt == {7: (3, 0), 8: (4, 10), 9: (update.lsn, addr.offset)}
+        assert losers == {42: 5, 44: update.lsn}
+        assert summary.records_analyzed == 4

@@ -353,3 +353,87 @@ class TestForceThrough:
         log, _ = self._log_with_offsets()
         assert log.force_through([]) == 0
         assert log.stats.get(LOG_FORCES) == 0
+
+
+class TestHeaderWalk:
+    """``LogManager.tail`` + ``LogTail.headers``: the header-first view
+    recovery passes walk instead of decoding every record."""
+
+    def _mixed_log(self):
+        log = LogManager(2)
+        log.append(rec(txn_id=1, page_id=10), page_lsn=40)
+        log.append(LogRecord(kind=RecordKind.COMMIT, txn_id=1))
+        log.append(LogRecord(kind=RecordKind.END_CHECKPOINT,
+                             extra=b"\x00" * 12))
+        log.append(rec(txn_id=2, page_id=11))
+        return log
+
+    def test_headers_agree_with_scan(self):
+        log = self._mixed_log()
+        tail = log.tail()
+        walked = list(tail.headers())
+        scanned = list(log.scan())
+        assert [o for o, _, _ in walked] == [a.offset for a, _ in scanned]
+        ends = [o for o, _, _ in walked[1:]] + [log.end_offset]
+        assert [n for _, n, _ in walked] == ends
+        for (offset, next_offset, header), (_, record) in zip(walked,
+                                                              scanned):
+            lsn, _, txn_id, _, page_id, system_id, _, _, _, _, kind = header
+            assert (lsn, txn_id, page_id, system_id, kind) == (
+                record.lsn, record.txn_id, record.page_id,
+                record.system_id, int(record.kind))
+            assert tail.record(offset, header) == record
+            assert tail.raw(offset, next_offset) == record.to_bytes()
+
+    def test_empty_log_and_walk_from_end(self):
+        log = LogManager(1)
+        assert list(log.tail().headers()) == []
+        assert log.record_count() == 0
+        log.append(rec())
+        tail = log.tail(from_offset=log.end_offset)
+        assert tail.data == b""
+        assert list(tail.headers()) == []
+
+    def test_copy_covers_only_the_tail(self):
+        log = self._mixed_log()
+        start = [a.offset for a, _ in log.scan()][2]
+        log.force(up_to=start)
+        log.append(rec(txn_id=3))
+        assert len(log.tail(from_offset=start).data) == log.end_offset - start
+        assert log.tail(from_offset=start, include_unflushed=False).data \
+            == b""
+        assert [h[2] for _, _, h in log.tail(from_offset=start).headers()] \
+            == [0, 2, 3]
+
+    def test_start_in_archived_prefix_is_counted(self):
+        from repro.common.stats import LOG_ARCHIVE_SCANS
+
+        log = self._mixed_log()
+        log.force()
+        boundary = [a.offset for a, _ in log.scan()][2]
+        log.archive_up_to(boundary)
+        before = log.stats.get(LOG_ARCHIVE_SCANS)
+        list(log.tail(from_offset=boundary).headers())
+        assert log.stats.get(LOG_ARCHIVE_SCANS) == before
+        walked = list(log.tail().headers())
+        assert log.stats.get(LOG_ARCHIVE_SCANS) == before + 1
+        assert len(walked) == 4
+
+    def test_recover_local_max_falls_back_to_the_archive(self):
+        from repro.common.stats import LOG_ARCHIVE_SCANS
+
+        log = LogManager(1)
+        log.append(rec(), page_lsn=70)
+        log.force()
+        log.archive_up_to(log.end_offset)
+        log.local_max_lsn = NULL_LSN
+        assert log.recover_local_max() == 71
+        assert log.stats.get(LOG_ARCHIVE_SCANS) == 1
+
+    def test_append_raw_takes_the_max_over_every_header(self):
+        server = LogManager(0)
+        records = [rec(), rec(), rec()]
+        for record, lsn in zip(records, (50, 90, 70)):
+            record.lsn = lsn
+        server.append_raw(b"".join(r.to_bytes() for r in records))
+        assert server.local_max_lsn == 90

@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.stats import MERGE_COMPARISONS, StatsRegistry
 from repro.wal.log_manager import LogManager
-from repro.wal.merge import lomet_merge, merge_local_logs, merged_records_for_page
+from repro.wal.merge import (
+    lomet_merge,
+    merge_headers,
+    merge_local_logs,
+    merged_records_for_page,
+)
 from repro.wal.records import make_update
 from repro.baselines.lomet import LometLogManager
 
@@ -58,6 +63,23 @@ class TestUsnMerge:
         logs = usn_logs({1: [(10, 0)] * 50, 2: [(11, 0)] * 50})
         list(merge_local_logs(logs, stats=stats))
         assert stats.get(MERGE_COMPARISONS) > 0
+
+    def test_header_merge_matches_record_merge(self):
+        """The header stream is the record stream undecoded: same
+        order, same offsets, same comparison count."""
+        logs = usn_logs({1: [(10, 0), (11, 5), (10, 20)],
+                         2: [(12, 3), (10, 9), (13, 30)]})
+        header_stats, record_stats = StatsRegistry(), StatsRegistry()
+        headers = list(merge_headers(logs, stats=header_stats))
+        records = list(merge_local_logs(logs, stats=record_stats))
+        assert [(t.system_id, o) for t, o, _, _ in headers] == \
+            [(a.system_id, a.offset) for a, _ in records]
+        assert [t.record(o, h) for t, o, _, h in headers] == \
+            [r for _, r in records]
+        assert [t.raw(o, n) for t, o, n, _ in headers] == \
+            [r.to_bytes() for _, r in records]
+        assert header_stats.get(MERGE_COMPARISONS) == \
+            record_stats.get(MERGE_COMPARISONS) > 0
 
     def test_per_page_filter(self):
         logs = usn_logs({1: [(10, 0), (11, 0), (10, 50)], 2: [(10, 5)]})

@@ -135,6 +135,32 @@ class TestShipping:
         assert all(s.applied_max_lsn == instance.log.local_max_lsn
                    for s in standbys)
 
+    def test_collect_returns_early_when_nothing_is_newly_stable(
+            self, monkeypatch):
+        """Every commit of a group asks the shipper to collect; when no
+        log's stable boundary moved past its ship cursor the shipper
+        must not copy any log tail."""
+        from repro.wal.log_manager import LogManager
+
+        sd, standbys = build(ack=ACK_QUORUM)
+        commit_one(sd.instances[1])
+        sd.instances[1].log.force()
+        sd.replication.drain()
+        copied = []
+        real_tail = LogManager.tail
+
+        def counting_tail(log, *args, **kwargs):
+            copied.append(log.system_id)
+            return real_tail(log, *args, **kwargs)
+
+        monkeypatch.setattr(LogManager, "tail", counting_tail)
+        assert sd.replication.drain() == 0
+        assert copied == []
+        commit_one(sd.instances[2])
+        assert sorted(set(copied)) == [1, 2]
+        assert all(s.applied_max_lsn >= sd.replication.commit_acks[-1].lsn
+                   for s in standbys)
+
 
 class TestStandbyApply:
     def test_duplicate_reship_is_screened(self):
