@@ -33,7 +33,8 @@ from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_payload, apply_redo
+from repro.recovery.apply import apply_payload
+from repro.recovery.redo import emit, redo_record
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
@@ -98,7 +99,6 @@ class CsServer:
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
         lock_shards: int = 1,
-        redo_parallelism: int = 1,
         slab: bool = True,
         restart_mode: str = "eager",
     ) -> None:
@@ -123,7 +123,6 @@ class CsServer:
         self.pool = BufferPool(self.disk, self.log, capacity=buffer_capacity,
                                tracer=self.tracer, injector=self.injector)
         self.lock_shards = lock_shards
-        self.redo_parallelism = redo_parallelism
         #: ``"eager"`` (classic, default) or ``"instant"`` — see
         #: :mod:`repro.recovery.instant`; the classic path is
         #: byte-identical to pre-instant behaviour.
@@ -525,40 +524,35 @@ class CsServer:
         if not dpt:
             return
         redo_start = min(rec_addr for _, rec_addr in dpt.values())
+        pool = self.pool
+        tracer = self.tracer
         tail = self.log.tail(from_offset=redo_start)
+        load = tail.record
         for offset, _, header in tail.headers():
             page_id = header[4]
             entry = dpt.get(page_id)
             if entry is None or offset < entry[1]:
                 continue
             lsn = header[0]
-            buffered = self.pool.contains(page_id)
-            page = self.pool.fix(page_id)
+            buffered = pool.contains(page_id)
+            page = pool.fix(page_id)
             try:
-                if lsn > page.page_lsn:
-                    page_lsn_prev = page.page_lsn
-                    apply_redo(page, tail.record(offset, header))
-                    self.pool.note_update(page_id, lsn, offset,
-                                          self.log.end_offset)
+                prev = redo_record(page, lsn, load, offset, header)
+                if prev is not None:
+                    pool.note_update(page_id, lsn, offset,
+                                     self.log.end_offset)
                     summary.records_redone += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            ev.RECOVERY_REDO, system=SERVER_ID,
-                            page=page_id, lsn=int(lsn),
-                            page_lsn_prev=int(page_lsn_prev),
-                        )
                 elif buffered:
                     summary.redo_skipped_buffer_hit += 1
                 else:
                     summary.redo_skipped_by_lsn += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            ev.RECOVERY_SKIP, system=SERVER_ID,
-                            page=page_id, lsn=int(lsn),
-                            page_lsn=int(page.page_lsn),
-                        )
+                # A skip on a page the server already cached is not
+                # traced: only disk-version skips are.
+                if tracer.enabled and (prev is not None or not buffered):
+                    emit(tracer, SERVER_ID, page_id, lsn, prev,
+                         page.page_lsn)
             finally:
-                self.pool.unfix(page_id)
+                pool.unfix(page_id)
 
     def _client_undo(self, losers: Dict[int, Lsn],
                      index: Dict[Lsn, int],
@@ -692,8 +686,7 @@ class CsServer:
             if self.restart_mode == "instant":
                 summary = self._instant_restart()
             else:
-                summary = restart_recovery(
-                    self, redo_parallelism=self.redo_parallelism)
+                summary = restart_recovery(self)
             self.pool.flush_all()
             self.glm = self._build_glm()
         return summary
@@ -703,8 +696,8 @@ class CsServer:
         single server log, then open — each page's redo chain applies
         on its first fix through the pool's ``recovery_intercept``
         (:mod:`repro.recovery.instant`)."""
-        from repro.cluster.redo import collect_local_redo
         from repro.recovery.instant import InstantRecoveryManager
+        from repro.recovery.redo import collect_local_redo
 
         manager = InstantRecoveryManager(
             self, mode="cs", stats=self.stats, injector=self.injector,

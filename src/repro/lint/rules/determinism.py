@@ -17,8 +17,7 @@ Inside an emitting function, the rule flags:
 * the same for raw dict views (``.keys()``/``.values()``/``.items()``)
   not wrapped in ``sorted(...)`` — insertion order is deterministic in
   CPython but depends on arrival order, which is exactly what parallel
-  phases perturb (the parent-side ``sorted(per_page)`` write-back in
-  cluster/redo.py is the canonical fix);
+  phases perturb (iterate ``sorted(...)`` of the container instead);
 * ``id(...)`` used anywhere in an emitting function — addresses differ
   between runs, so they must never feed keys or sort orders;
 * ``wall_seconds()`` — the sanctioned bench-timing escape hatch must

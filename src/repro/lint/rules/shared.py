@@ -1,10 +1,11 @@
 """R010 — shared-state mutations in thread workers need the lockset.
 
-PR 5's parallel partitioned redo runs worker callables on a
-``ThreadPoolExecutor``; the documented discipline (cluster/redo.py) is
-that workers touch only their private partition state and the parent
-performs all shared write-back after ``join``.  A worker that mutates
-state it did not create — an attribute reached through a parameter or
+Code that hands worker callables to a ``concurrent.futures`` executor
+or ``Thread(target=)`` must keep the discipline that workers touch only
+their private state and the parent performs all shared write-back
+after ``join``.  No module under ``src/`` runs worker threads today;
+the rule keeps any that arrive honest.  A worker that mutates state it
+did not create — an attribute reached through a parameter or
 ``self``, a captured container — is a data race unless the mutation
 happens while a lock is definitely held.
 

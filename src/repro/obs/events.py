@@ -111,8 +111,9 @@ Instant restart (see :mod:`repro.recovery.instant` and
 * ``INSTANT_DONE``  — ``recovered``, ``demand``, ``swept`` (the
   manager drained: every pending page has been recovered)
 
-Cluster scale-out (system = the recovering instance; see
-``docs/scaleout.md``):
+Cluster redo partitions (system = the recovering instance).  Nothing
+in the code emits them any more; the constants stay so traces recorded
+by the removed thread-pool redo still load and check under I5:
 
 * ``CLUSTER_REDO_PLAN`` — ``partitions``, ``parallelism``, ``records``
   (the partitioned redo plan built from the merged log)
@@ -145,8 +146,6 @@ doing the work):
   ("restart" | "fast" | "cs-client" | "media")
 * ``SPAN_ANALYSIS`` / ``SPAN_REDO`` / ``SPAN_UNDO`` — the recovery
   passes inside a ``SPAN_RECOVERY``
-* ``SPAN_REDO_PART``     — one partition of the parallel partitioned
-  redo, attribute ``partition``
 * ``SPAN_RESTART``       — an instance/server/complex restart wrapper,
   attribute ``target``
 * ``SPAN_QUIESCE``       — a CS quiesce checkpoint
@@ -232,7 +231,6 @@ SPAN_RECOVERY = "recovery"
 SPAN_ANALYSIS = "analysis"
 SPAN_REDO = "redo"
 SPAN_UNDO = "undo"
-SPAN_REDO_PART = "redo_part"
 SPAN_RESTART = "restart"
 SPAN_QUIESCE = "quiesce"
 SPAN_PROMOTE = "promote"

@@ -25,7 +25,8 @@ them:
   its system's ``cluster.redo_plan`` and the enclosing
   ``recovery.end``; by that end, the distinct partition ids must cover
   the plan exactly (``partitions`` of them, no duplicates, none
-  missing).
+  missing).  No current code path emits these events; the check
+  audits imported traces only.
 * **I6 span-pairing** — every ``span.begin`` has exactly one matching
   ``span.end`` (same span id, later in logical time); no duplicate
   begins, no orphan ends, nothing left open at end of trace.

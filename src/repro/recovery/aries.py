@@ -9,7 +9,8 @@ off.
 Redo logic is untouched relative to single-system ARIES (Section 3.2.1,
 "Restart Processing": redo iff ``record.LSN > page_LSN``) — that is the
 paper's point: the USN scheme preserves the page-state comparison while
-abandoning the address interpretation of LSNs.
+abandoning the address interpretation of LSNs.  The test itself lives in
+:mod:`repro.recovery.redo`; the passes here only schedule it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from repro.common.config import NULL_LSN
 from repro.common.lsn import Lsn
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_payload, apply_redo
+from repro.recovery.apply import apply_payload
+from repro.recovery.redo import emit, redo_record
 from repro.txn.transaction import Transaction
 from repro.wal.records import (
     NO_PAGE,
@@ -38,13 +40,6 @@ _ACTIVE = 0
 _COMMIT = int(RecordKind.COMMIT)
 _END = int(RecordKind.END)
 _END_CHECKPOINT = int(RecordKind.END_CHECKPOINT)
-
-# Deliberate-breakage seam for the chaos campaign's self-test: with
-# redo screening disabled, redo re-applies records already reflected in
-# the page (double-apply), which the verifier/invariant checker must
-# catch — proving the campaign can actually fail.  Never set outside
-# ``repro.faults.campaign.sabotage_redo_screening``.
-_SABOTAGE_DISABLE_REDO_SCREENING = False
 
 
 @dataclass
@@ -65,18 +60,14 @@ def _tracer_of(instance) -> NullTracer:
     return getattr(instance, "tracer", NULL_TRACER)
 
 
-def restart_recovery(instance, fix_page=None, unfix_page=None,
-                     redo_parallelism: int = 1) -> RestartSummary:
+def restart_recovery(instance, fix_page=None,
+                     unfix_page=None) -> RestartSummary:
     """Recover one failed system from its own local log.
 
     ``instance`` is duck-typed: it needs ``log``, ``pool`` and
     ``system_id``.  On return, all committed updates are reflected in
     the buffer pool / disk, all loser transactions are undone with CLRs
     and closed with END records.
-
-    ``redo_parallelism > 1`` runs the redo pass partitioned by page
-    across a thread pool (:mod:`repro.cluster.redo`) — byte-identical
-    final page images, since redo order only matters *within* a page.
 
     ``fix_page``/``unfix_page`` override how the **undo** pass reaches
     pages.  In the multi-system architectures they must go through the
@@ -105,7 +96,7 @@ def restart_recovery(instance, fix_page=None, unfix_page=None,
         summary.dirty_pages_at_crash = len(dpt)
         summary.loser_transactions = len(losers)
         with tracer.span(ev.SPAN_REDO, system=system_id):
-            _redo_pass(instance, dpt, summary, parallelism=redo_parallelism)
+            _redo_pass(instance, dpt, summary)
         with tracer.span(ev.SPAN_UNDO, system=system_id):
             _undo_pass(instance, losers, summary,
                        fix_page=fix_page, unfix_page=unfix_page)
@@ -175,24 +166,16 @@ def analysis_pass(
 # redo — repeating history
 # ----------------------------------------------------------------------
 def _redo_pass(instance, dpt: Dict[int, Tuple[Lsn, int]],
-               summary: RestartSummary, parallelism: int = 1) -> None:
+               summary: RestartSummary) -> None:
+    """Repeat history in local-log order from the oldest RecAddr."""
     if not dpt:
         return
-    log = instance.log
     pool = instance.pool
+    tracer = _tracer_of(instance)
     redo_start = min(rec_addr for _, rec_addr in dpt.values())
     summary.redo_scan_start = redo_start
-    if parallelism > 1:
-        from repro.cluster.redo import collect_local_redo, replay_partitioned
-
-        per_page = collect_local_redo(log, dpt, redo_start)
-        replay_partitioned(
-            instance, per_page, parallelism, summary,
-            sabotage=_SABOTAGE_DISABLE_REDO_SCREENING,
-        )
-        return
-    tracer = _tracer_of(instance)
-    tail = log.tail(from_offset=redo_start)
+    tail = instance.log.tail(from_offset=redo_start)
+    load = tail.record
     for offset, next_offset, header in tail.headers():
         page_id = header[4]
         entry = dpt.get(page_id)
@@ -201,25 +184,15 @@ def _redo_pass(instance, dpt: Dict[int, Tuple[Lsn, int]],
         lsn = header[0]
         page = pool.fix(page_id)
         try:
-            if _SABOTAGE_DISABLE_REDO_SCREENING or lsn > page.page_lsn:
-                page_lsn_prev = page.page_lsn
-                apply_redo(page, tail.record(offset, header))
+            prev = redo_record(page, lsn, load, offset, header)
+            if prev is not None:
                 pool.note_update(page_id, lsn, offset, next_offset)
                 summary.records_redone += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_REDO, system=instance.system_id,
-                        page=page_id, lsn=int(lsn),
-                        page_lsn_prev=int(page_lsn_prev),
-                    )
             else:
                 summary.redo_skipped_by_lsn += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_SKIP, system=instance.system_id,
-                        page=page_id, lsn=int(lsn),
-                        page_lsn=int(page.page_lsn),
-                    )
+            if tracer.enabled:
+                emit(tracer, instance.system_id, page_id, lsn, prev,
+                     page.page_lsn)
         finally:
             pool.unfix(page_id)
 
@@ -234,7 +207,6 @@ def fast_restart_recovery(
     skip_page_ids=(),
     fix_page=None,
     unfix_page=None,
-    redo_parallelism: int = 1,
 ) -> RestartSummary:
     """Restart recovery under the fast page-transfer scheme.
 
@@ -267,16 +239,7 @@ def fast_restart_recovery(
 
         targets = (set(dpt) | set(candidate_pages)) - set(skip_page_ids)
         with tracer.span(ev.SPAN_REDO, system=system_id):
-            if targets and redo_parallelism > 1:
-                from repro.cluster.redo import (
-                    collect_merged_redo,
-                    replay_partitioned,
-                )
-
-                per_page = collect_merged_redo(all_logs, targets)
-                replay_partitioned(
-                    instance, per_page, redo_parallelism, summary)
-            elif targets:
+            if targets:
                 _merged_redo(instance, all_logs, targets, summary)
         with tracer.span(ev.SPAN_UNDO, system=system_id):
             _undo_pass(instance, losers, summary,
@@ -294,7 +257,7 @@ def fast_restart_recovery(
 
 
 def _merged_redo(instance, all_logs, targets, summary: RestartSummary) -> None:
-    """Serial merged-log redo (fast scheme, ``redo_parallelism == 1``)."""
+    """Merged-log redo (fast scheme) over the target pages."""
     from repro.wal.merge import merge_headers
 
     log = instance.log
@@ -307,9 +270,8 @@ def _merged_redo(instance, all_logs, targets, summary: RestartSummary) -> None:
         lsn = header[0]
         page = pool.fix(page_id)
         try:
-            if lsn > page.page_lsn:
-                page_lsn_prev = page.page_lsn
-                apply_redo(page, tail.record(offset, header))
+            prev = redo_record(page, lsn, tail.record, offset, header)
+            if prev is not None:
                 # The covering records are in their writers' stable
                 # logs; nothing to force locally before page writes.
                 bcb = pool.bcb(page_id)
@@ -318,20 +280,11 @@ def _merged_redo(instance, all_logs, targets, summary: RestartSummary) -> None:
                     bcb.rec_lsn = lsn
                     bcb.rec_addr = log.end_offset
                 summary.records_redone += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_REDO, system=instance.system_id,
-                        page=page_id, lsn=int(lsn),
-                        page_lsn_prev=int(page_lsn_prev),
-                    )
             else:
                 summary.redo_skipped_by_lsn += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_SKIP, system=instance.system_id,
-                        page=page_id, lsn=int(lsn),
-                        page_lsn=int(page.page_lsn),
-                    )
+            if tracer.enabled:
+                emit(tracer, instance.system_id, page_id, lsn, prev,
+                     page.page_lsn)
         finally:
             pool.unfix(page_id)
 

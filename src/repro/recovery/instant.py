@@ -12,12 +12,12 @@ that mode over the paper's multi-system substrate:
    — the shared first act of every restart flavour) and yields the
    dirty page table and the loser transactions.
 2. **Per-page redo chains** are indexed from the stable log(s) using
-   PR 5's candidate collectors — :func:`repro.cluster.redo.
+   the candidate collectors — :func:`repro.recovery.redo.
    collect_local_redo` under the medium transfer scheme and for the CS
-   server (single-log redo), :func:`repro.cluster.redo.
+   server (single-log redo), :func:`repro.recovery.redo.
    collect_merged_redo` over the merged USN stream under the fast
-   scheme — i.e. exactly the records the eager serial pass would
-   consider, in exactly its order.
+   scheme — i.e. exactly the records the eager pass would consider, in
+   exactly its order.
 3. **Undo runs eagerly at open**, reusing the eager
    :func:`~repro.recovery.aries._undo_pass` verbatim with the same
    page fixers the eager path uses.  Undo touches only loser pages, so
@@ -36,15 +36,13 @@ that mode over the paper's multi-system substrate:
    increments.
 
 Equivalence discipline (the property the chaos ``restart`` drill
-enforces with SHA-256 disk digests): per page, instant restart applies
-the same records under the same ``record.lsn > page_LSN`` screening
-from the same disk base image as the eager pass, and writes the page
-back only when a record actually applied (mirroring
-:func:`~repro.cluster.redo.replay_partitioned`'s modified-only
-write-back).  Application *order between pages* differs, but order
-only matters within a page — the same argument that justified PR 5's
-partitioned redo.  Once every manager has drained, the disk image is
-byte-identical to the eager one.
+enforces with SHA-256 disk digests): per page, instant restart runs
+the same records through the same redo kernel
+(:func:`repro.recovery.redo.apply_chain`) from the same disk base image
+as the eager pass, and writes the page back only when a record
+actually applied.  Application *order between pages* differs, but
+order only matters within a page.  Once every manager has drained, the
+disk image is byte-identical to the eager one.
 
 WAL is satisfied throughout: every record in a chain comes from a
 stable post-crash log, so writing a chain-applied image needs no log
@@ -53,7 +51,7 @@ force first.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.stats import (
     INSTANT_DEMAND_RECOVERIES,
@@ -69,12 +67,8 @@ from repro.faults import points as fp
 from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.obs import events as ev
 from repro.recovery import aries
-from repro.recovery.apply import apply_redo
 from repro.recovery.aries import RestartSummary, analysis_pass
-from repro.wal.records import LogRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.redo import RedoChain
+from repro.recovery.redo import RedoChain, apply_chain, emit
 
 
 class InstantRecoveryManager:
@@ -108,7 +102,7 @@ class InstantRecoveryManager:
         self.summary = RestartSummary()
         self.dpt: Dict[int, tuple] = {}
         self.losers: Dict[int, int] = {}
-        self._chains: Dict[int, "RedoChain"] = {}
+        self._chains: Dict[int, RedoChain] = {}
         self._opened = False
         self._drained = False
         self.demand_recoveries = 0
@@ -132,7 +126,7 @@ class InstantRecoveryManager:
             redo_start = min(rec_addr for _, rec_addr in self.dpt.values())
             self.summary.redo_scan_start = redo_start
 
-    def index_chains(self, chains: Dict[int, "RedoChain"]) -> None:
+    def index_chains(self, chains: Dict[int, RedoChain]) -> None:
         """Install the per-page redo chains (candidate-collector
         output); pages with a non-empty chain become *pending*."""
         self._chains = {
@@ -201,21 +195,11 @@ class InstantRecoveryManager:
                                page=page_id)
             disk = instance.pool.disk
             # Copy-on-write view: a chain that screens out entirely
-            # never copies the image (and the page is left unwritten,
-            # mirroring replay_partitioned's modified-only write-back).
+            # never copies the image, and the page is left unwritten.
             page = disk.read_page_view(page_id)
-            redone = skipped = 0
-            sabotage = aries._SABOTAGE_DISABLE_REDO_SCREENING
-            emitted: List[tuple] = []
-            for lsn, raw in records:
-                if sabotage or lsn > page.page_lsn:
-                    page_lsn_prev = page.page_lsn
-                    apply_redo(page, LogRecord.from_bytes(raw)[0])
-                    redone += 1
-                    emitted.append((True, int(lsn), int(page_lsn_prev)))
-                else:
-                    skipped += 1
-                    emitted.append((False, int(lsn), int(page.page_lsn)))
+            outcomes = apply_chain(page, records)
+            redone = sum(1 for _, prev, _ in outcomes if prev is not None)
+            skipped = len(outcomes) - redone
             if redone:
                 disk.write_page(page)
             del self._chains[page_id]
@@ -226,17 +210,8 @@ class InstantRecoveryManager:
             else:
                 self.sweep_recoveries += 1
             if tracer.enabled:
-                for was_redo, lsn, other in emitted:
-                    if was_redo:
-                        tracer.emit(
-                            ev.RECOVERY_REDO, system=system_id,
-                            page=page_id, lsn=lsn, page_lsn_prev=other,
-                        )
-                    else:
-                        tracer.emit(
-                            ev.RECOVERY_SKIP, system=system_id,
-                            page=page_id, lsn=lsn, page_lsn=other,
-                        )
+                for lsn, prev, page_lsn in outcomes:
+                    emit(tracer, system_id, page_id, lsn, prev, page_lsn)
                 tracer.emit(
                     ev.INSTANT_PAGE, system=system_id, page=page_id,
                     redone=redone, skipped=skipped, via=via,

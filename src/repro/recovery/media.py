@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from repro.common.stats import StatsRegistry
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_redo
+from repro.recovery.redo import redo_record
 from repro.storage.disk import SharedDisk
 from repro.storage.image_copy import ImageCopy
 from repro.storage.page import Page, PageType
@@ -60,8 +60,8 @@ def recover_page_from_media(
             page.format(page_id, PageType.FREE)
         for tail, offset, _, header in merge_headers(
                 logs, stats=stats, from_offsets=from_offsets):
-            if header[4] == page_id and header[0] > page.page_lsn:
-                apply_redo(page, tail.record(offset, header))
+            if header[4] == page_id:
+                redo_record(page, header[0], tail.record, offset, header)
         if disk is not None:
             disk.write_page(page)
     return page
@@ -96,8 +96,8 @@ def recover_database_from_media(
                 pages[page_id] = blank
         for tail, offset, _, header in merge_headers(logs, stats=stats):
             page = pages.get(header[4])
-            if page is not None and header[0] > page.page_lsn:
-                apply_redo(page, tail.record(offset, header))
+            if page is not None:
+                redo_record(page, header[0], tail.record, offset, header)
         for page_id in sorted(pages):
             disk.write_page(pages[page_id])
     return len(pages)

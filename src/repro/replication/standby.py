@@ -7,11 +7,11 @@ appended verbatim to its source's replica log
 (:meth:`~repro.wal.log_manager.LogManager.append_raw`, the Section 3.1
 "append them, as they are" discipline), forced, and — for
 page-oriented records — replayed through the standard redo test
-``record.LSN > page_LSN`` (Section 3.2.1) straight against the
-standby's disk.  That loop *is* restart recovery's redo pass run as a
-steady state, so the standby emits the same ``RECOVERY_REDO`` /
-``RECOVERY_SKIP`` events and stays under the trace checker's
-redo-screening invariant.
+``record.LSN > page_LSN`` (Section 3.2.1, :mod:`repro.recovery.redo`)
+straight against the standby's disk.  That loop *is* restart
+recovery's redo pass run as a steady state, so the standby emits the
+same ``RECOVERY_REDO`` / ``RECOVERY_SKIP`` events and stays under the
+trace checker's redo-screening invariant.
 
 Apply order is the primary's merged LSN order, which is sufficient:
 per-page LSNs are strictly increasing across the complex (invariant
@@ -42,7 +42,7 @@ from repro.faults import points as fp
 from repro.faults.injector import NullFaultInjector
 from repro.obs import events as ev
 from repro.obs.tracer import NullTracer
-from repro.recovery.apply import apply_redo
+from repro.recovery.redo import emit, redo_record
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.wal.log_manager import LogManager
@@ -50,6 +50,11 @@ from repro.wal.records import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
+
+
+def _same(record: LogRecord) -> LogRecord:
+    """The kernel's record loader for an already-decoded record."""
+    return record
 
 
 class _RecoverySite:
@@ -185,25 +190,15 @@ class StandbyComplex:
         if not record.is_page_oriented():
             return
         page = self.disk.read_page(record.page_id)
-        if record.lsn > page.page_lsn:
-            page_lsn_prev = page.page_lsn
-            apply_redo(page, record)
+        prev = redo_record(page, record.lsn, _same, record)
+        if prev is not None:
             self.disk.write_page(page)
             self.stats.incr(REPL_RECORDS_APPLIED)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ev.RECOVERY_REDO, system=self.system_id,
-                    page=record.page_id, lsn=int(record.lsn),
-                    page_lsn_prev=int(page_lsn_prev),
-                )
         else:
             self.stats.incr(REPL_APPLY_SKIPPED)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ev.RECOVERY_SKIP, system=self.system_id,
-                    page=record.page_id, lsn=int(record.lsn),
-                    page_lsn=int(page.page_lsn),
-                )
+        if self.tracer.enabled:
+            emit(self.tracer, self.system_id, record.page_id, record.lsn,
+                 prev, page.page_lsn)
 
     # ------------------------------------------------------------------
     # failover

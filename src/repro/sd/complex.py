@@ -70,7 +70,6 @@ class SDComplex:
         injector: Optional[NullFaultInjector] = None,
         net_retry: Optional[RetryPolicy] = None,
         lock_shards: int = 1,
-        redo_parallelism: int = 1,
         slab: bool = True,
         replicate: Optional["ReplicationConfig"] = None,
         disk: Optional[SharedDisk] = None,
@@ -103,7 +102,6 @@ class SDComplex:
                                injector=self.injector,
                                retry=net_retry)
         self.lock_shards = lock_shards
-        self.redo_parallelism = redo_parallelism
         if lock_shards > 1:
             # Scale-out GLM (lazy import: repro.cluster builds on this
             # module).  One shard keeps the monolithic manager — and
@@ -294,14 +292,12 @@ class SDComplex:
                 skip_page_ids=skip,
                 fix_page=fix_fast,
                 unfix_page=instance.pool.unfix,
-                redo_parallelism=self.redo_parallelism,
             )
         else:
             summary = restart_recovery(
                 instance,
                 fix_page=self.recovery_page_fixer(instance),
                 unfix_page=instance.pool.unfix,
-                redo_parallelism=self.redo_parallelism,
             )
         instance.pool.flush_all()
         # Cold cache after recovery: keeping reconstructed pages around
@@ -326,9 +322,9 @@ class SDComplex:
         page has its chain applied first, so CLR order, LSN hints and
         the final disk image match the eager path byte for byte.
         """
-        from repro.cluster.redo import collect_local_redo, collect_merged_redo
         from repro.common.errors import ProtocolError
         from repro.recovery.instant import InstantRecoveryManager
+        from repro.recovery.redo import collect_local_redo, collect_merged_redo
 
         manager = InstantRecoveryManager(
             instance, mode=self.transfer_scheme, stats=self.stats,
@@ -435,7 +431,7 @@ class SDComplex:
         page_LSN test.
         """
         from repro.common.errors import ProtocolError
-        from repro.recovery.apply import apply_redo
+        from repro.recovery.redo import redo_record
         from repro.wal.merge import merge_headers
 
         def fix_page(page_id: int):
@@ -448,8 +444,9 @@ class SDComplex:
                 page = self.disk.read_page(page_id)
                 for tail, offset, _, header in merge_headers(
                         self.local_logs()):
-                    if header[4] == page_id and header[0] > page.page_lsn:
-                        apply_redo(page, tail.record(offset, header))
+                    if header[4] == page_id:
+                        redo_record(page, header[0], tail.record, offset,
+                                    header)
                 self.disk.write_page(page)
                 return instance.pool.install_page(page, dirty=False)
 

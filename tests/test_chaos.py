@@ -66,7 +66,7 @@ from repro.lint.rules import RULES_BY_ID
 from repro.obs import events as ev
 from repro.obs.capture import capture_e1
 from repro.obs.tracer import Tracer
-from repro.recovery import aries
+from repro.recovery import redo
 from repro.recovery.media import recover_page_from_media
 from repro.sd.complex import SDComplex
 from repro.harness.verifier import verify_sd_complex
@@ -545,11 +545,15 @@ class TestRestartDrill:
 
 
 class TestSabotage:
-    def test_broken_redo_screening_turns_campaign_red(self):
+    @pytest.mark.parametrize("arch", ["sd", "cs"])
+    def test_broken_redo_screening_turns_campaign_red(self, arch):
+        """Every smoke spec must fail: each crash point's recovery runs
+        some redo flavour, and all of them share the one screen."""
         with sabotage_redo_screening():
-            report = run_campaign("sd", seed=0, smoke=True)
-        assert not aries._SABOTAGE_DISABLE_REDO_SCREENING
-        assert not report.ok
+            report = run_campaign(arch, seed=0, smoke=True)
+        assert not redo._SABOTAGE_DISABLE_REDO_SCREENING
+        assert report.results
+        assert len(report.failed) == len(report.results)
         assert any("redo-screening" in violation
                    for result in report.failed
                    for violation in result.invariant_violations)

@@ -15,8 +15,7 @@ from repro.workload.scaleout import (
 
 def build_complex(n_instances=4):
     return build_cluster(ClusterConfig(
-        n_instances=n_instances, lock_shards=1, redo_parallelism=1,
-        n_data_pages=256))
+        n_instances=n_instances, lock_shards=1, n_data_pages=256))
 
 
 def script_fingerprint(scripts):
@@ -118,6 +117,17 @@ class TestEndToEnd:
         assert result_a == result_b
         assert disk_a == disk_b
         assert result_a.committed > 0
+
+    def test_complex_usable_after_restart(self):
+        """A whole-complex crash and restart leaves a complex that takes
+        (and survives) a fresh workload."""
+        sd = build_complex(4)
+        assert run_scaleout(sd, ScaleoutConfig(
+            n_transactions=24, sharing_ratio=0.2, seed=11)).committed > 0
+        sd.crash_complex()
+        sd.restart_complex()
+        rerun = run_scaleout(sd, ScaleoutConfig(n_transactions=12, seed=3))
+        assert rerun.committed > 0
 
     def test_high_sharing_contends_more(self):
         low = run_scaleout(build_complex(4), LOW_SHARING)

@@ -10,6 +10,7 @@ flags broken cluster-redo coverage and broken span brackets.
 
 import pytest
 
+from repro.cluster import ClusterConfig, build_cluster
 from repro.obs import (
     NULL_TRACER,
     TraceEvent,
@@ -30,6 +31,7 @@ from repro.obs.capture import capture_e1, capture_e7
 from repro.obs.invariants import first_violation
 from repro.obs.profile import render_critical_path, render_self_costs
 from repro.obs.tracer import NULL_SPAN
+from repro.workload.scaleout import ScaleoutConfig, run_scaleout
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +302,18 @@ class TestClusterRedoInvariant:
         assert v is not None and "outside" in v.message
 
     def test_cluster_capture_is_clean(self):
-        tracer, _ = capture_e7(redo_parallelism=4)
-        assert check_trace(tracer.events()) == []
+        """A 4-instance, 4-shard scale-out restart trace passes every
+        invariant; it carries no cluster-redo events, so I5 holds
+        vacuously and checks imported traces only."""
+        tracer = Tracer()
+        sd = build_cluster(ClusterConfig(n_data_pages=256), tracer=tracer)
+        assert run_scaleout(sd, ScaleoutConfig(
+            n_transactions=24, sharing_ratio=0.2, seed=11)).committed > 0
+        sd.crash_complex()
+        sd.restart_complex()
+        events = tracer.events()
+        assert ev.RECOVERY_REDO in {event.kind for event in events}
+        assert check_trace(events) == []
 
 
 class TestSpanInvariants:

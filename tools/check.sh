@@ -16,8 +16,10 @@
 #   bench   E1/TPS/instant bench smokes + bench-suite smoke +
 #           span-trace smoke (capture, critical-path, invariant
 #           check, Perfetto export)
-#   chaos   crash-point torture smoke + failover and restart drill
-#           smokes (python -m repro.chaos [--drill ...] --smoke)
+#   chaos   crash-point torture smoke, the sabotage self-test (every
+#           smoke spec must fail with redo screening broken) +
+#           failover and restart drill smokes
+#           (python -m repro.chaos [--drill ...] [--sabotage ...] --smoke)
 #
 # Every stage runs even after an earlier one fails; each step's result
 # is captured, a PASS/FAIL/SKIP summary table prints at the end, and
@@ -179,9 +181,25 @@ stage_bench() {
 # drill recovers the identical crash eagerly and with
 # restart_mode="instant" at three SD crash points and requires the
 # final disk images to be SHA-256 identical.
+
+# Sabotage self-test: the campaign's alarm must be live.  With the redo
+# kernel's page_LSN screen sabotaged, every smoke crash spec has to
+# fail ("CHAOS: FAIL — N/N"); a spec that stays green is a recovery
+# path the sabotage (and so the screen) does not reach.
+sabotage_self_test() {
+    local out
+    if out="$(python -m repro.chaos --smoke --sabotage redo-screening)"; then
+        echo "    sabotaged campaign passed: the alarm is dead"
+        return 1
+    fi
+    echo "${out}" | tail -n 1
+    echo "${out}" | grep -q 'CHAOS: FAIL — \([0-9][0-9]*\)/\1 crash specs'
+}
+
 stage_chaos() {
     run_step "chaos smoke (crash-point torture)" \
         python -m repro.chaos --smoke
+    run_step "sabotage self-test" sabotage_self_test
     run_step "failover drill (smoke)" \
         python -m repro.chaos --drill failover --smoke
     run_step "restart drill (smoke)" \
